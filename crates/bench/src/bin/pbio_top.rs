@@ -1,10 +1,10 @@
-//! pbio-top — live daemon topology viewer fed by the `INSPECT` exchange.
+//! pbio-top — live daemon topology viewer fed by the `CTL_TOPO` pull.
 //!
 //! Asks a serv daemon for a [`TopoSnapshot`] — per-connection queue
 //! depths, per-channel durable heads, per-shard load, consumer-lag
 //! watermarks, and the tail of the flight recorder — and renders it as
 //! a `top`-style table. The snapshot itself crosses the wire as a
-//! self-describing PBIO record on the `K_INSPECT_ACK` frame.
+//! self-describing PBIO record on the `K_CTL_ACK` frame.
 //!
 //! ```text
 //! pbio-top                      # self-contained demo: durable replay,

@@ -422,7 +422,7 @@ impl TopoLag {
     }
 }
 
-/// A whole topology capture: what `K_INSPECT` answers and the `$topo`
+/// A whole topology capture: what a `CTL_TOPO` pull answers and the `$topo`
 /// channel pushes. The `*_total` fields carry true population sizes so a
 /// consumer can tell when the fixed wire caps truncated a section.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -494,7 +494,7 @@ impl ServClient {
         self.ensure_connected()?;
         let layout = Arc::new(Layout::of(schema, &self.profile).map_err(PbioError::from)?);
         let meta = serialize_layout(&layout);
-        let wire = self.request_format(&meta)?;
+        let wire = self.request(K_FORMAT, 0, &meta, K_FORMAT_ACK)?.b;
         let public = match self.fmt_from_wire.get(&wire) {
             Some(&p) => p,
             None => {
@@ -533,7 +533,9 @@ impl ServClient {
 
     fn open_channel_flags(&mut self, name: &str, flags: u32) -> Result<u32, ServError> {
         self.ensure_connected()?;
-        let wire = self.request_channel(name, flags)?;
+        let wire = self
+            .request(K_CHANNEL, flags, name.as_bytes(), K_CHANNEL_ACK)?
+            .b;
         let public = match self.chan_from_wire.get(&wire) {
             Some(&p) => {
                 // An already-open channel re-opened with stronger flags:
@@ -576,20 +578,13 @@ impl ServClient {
         Ok(public)
     }
 
-    /// One K_FORMAT round trip; returns the daemon's wire format id.
-    fn request_format(&mut self, meta: &[u8]) -> Result<u32, ServError> {
+    /// One round trip under a fresh token: send `kind` with the token in
+    /// `a`, then await the `ack` frame echoing it.
+    fn request(&mut self, kind: u8, b: u32, body: &[u8], ack: u8) -> Result<Frame, ServError> {
         let token = self.next_token;
         self.next_token += 1;
-        self.send_raw(K_FORMAT, token, 0, meta)?;
-        Ok(self.await_ack(K_FORMAT_ACK, token)?.b)
-    }
-
-    /// One K_CHANNEL round trip; returns the daemon's wire channel id.
-    fn request_channel(&mut self, name: &str, flags: u32) -> Result<u32, ServError> {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.send_raw(K_CHANNEL, token, flags, name.as_bytes())?;
-        Ok(self.await_ack(K_CHANNEL_ACK, token)?.b)
+        self.send_raw(kind, token, b, body)?;
+        self.await_ack(ack, token)
     }
 
     /// A public id not colliding with any id a daemon session might
@@ -649,12 +644,14 @@ impl ServClient {
                 .ok_or(ServError::UnknownFormat(public))?
                 .clone();
             let meta = serialize_layout(&layout);
-            let wire = self.request_format(&meta)?;
+            let wire = self.request(K_FORMAT, 0, &meta, K_FORMAT_ACK)?.b;
             self.fmt_to_wire.insert(public, wire);
             self.fmt_from_wire.insert(wire, public);
         }
         for (name, public, flags) in self.journal_channels.clone() {
-            let wire = self.request_channel(&name, flags)?;
+            let wire = self
+                .request(K_CHANNEL, flags, name.as_bytes(), K_CHANNEL_ACK)?
+                .b;
             self.chan_to_wire.insert(public, wire);
             self.chan_from_wire.insert(wire, public);
         }
@@ -1400,30 +1397,23 @@ impl ServClient {
         self.sampler.modulus()
     }
 
-    /// Set the *daemon's* sampling modulus ([`K_TRACE_CTL`]): the value
-    /// advertised to sessions that connect from now on (0 disables).
-    /// Returns the modulus that was in effect before.
+    /// Set the *daemon's* sampling modulus ([`CTL_TRACE_MOD`]): the
+    /// value advertised to sessions that connect from now on (0
+    /// disables). Returns the modulus that was in effect before.
     pub fn set_daemon_trace(&mut self, modulus: u32) -> Result<u32, ServError> {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.send_raw(K_TRACE_CTL, token, modulus, &[])?;
-        Ok(self.await_ack(K_TRACE_CTL_ACK, token)?.b)
+        Ok(self.ctl(CTL_TRACE_MOD, &[modulus])?.0)
     }
 
-    /// Switch the daemon's wire tap ([`K_TAP_CTL`]) to `mode`. Returns
+    /// Switch the daemon's wire tap ([`CTL_TAP`]) to `mode`. Returns
     /// the wire code of the mode previously in effect. The daemon
     /// answers `ERROR` if it was started without
     /// [`crate::ServConfig::tap`], or for an unknown mode (including a
     /// zero sampling modulus) — both surface as [`ServError::Remote`].
     pub fn tap_ctl(&mut self, mode: crate::tap::TapMode) -> Result<u32, ServError> {
-        let token = self.next_token;
-        self.next_token += 1;
         let (mode, param) = mode.to_wire();
-        let body: &[u8] = &param.to_be_bytes();
-        // Parameterless modes send an empty body.
-        let body = if param == 0 { &[] } else { body };
-        self.send_raw(K_TAP_CTL, token, mode, body)?;
-        Ok(self.await_ack(K_TAP_CTL_ACK, token)?.b)
+        // Parameterless modes send the mode word alone.
+        let args: &[u32] = if param == 0 { &[mode] } else { &[mode, param] };
+        Ok(self.ctl(CTL_TAP, args)?.0)
     }
 
     /// Drain the decode hops recorded by this client's poll loop.
@@ -1468,40 +1458,48 @@ impl ServClient {
         Ok(hops.len())
     }
 
-    /// Pull a one-shot stats snapshot from the daemon ([`K_STATS`]). The
-    /// record arrives as native bytes in the daemon's own stats layout
-    /// (announced first), and is decoded here — across architectures if
-    /// need be — into a header plus [`Snapshot`].
+    /// Pull a one-shot stats snapshot from the daemon ([`CTL_STATS`]).
+    /// The record arrives as native bytes in the daemon's own stats
+    /// layout (announced first), and is decoded here — across
+    /// architectures if need be — into a header plus [`Snapshot`].
     pub fn pull_stats(&mut self) -> Result<(StatsHeader, Snapshot), ServError> {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.send_raw(K_STATS, token, 0, &[])?;
-        let ack = self.await_ack(K_STATS_ACK, token)?;
-        let layout = self.wire_layouts.get(&ack.b).cloned().ok_or_else(|| {
-            ServError::Protocol(format!("stats format {} was never announced", ack.b))
-        })?;
-        let value = decode_native(&ack.body, &layout).map_err(PbioError::from)?;
-        snapshot_from_value(&value)
-            .ok_or_else(|| ServError::Protocol("stats record lacks header fields".into()))
+        let (_, record) = self.ctl(CTL_STATS, &[])?;
+        let missing = || ServError::Protocol("stats reply lacks a stats record".into());
+        record
+            .as_ref()
+            .and_then(snapshot_from_value)
+            .ok_or_else(missing)
     }
 
-    /// Pull a live topology snapshot from the daemon ([`K_INSPECT`]):
+    /// Pull a live topology snapshot from the daemon ([`CTL_TOPO`]):
     /// per-connection queue depths and liveness, per-channel fan-out and
     /// durable-log footprint, per-shard reactor load, consumer-lag
     /// watermarks, and the flight-recorder tail — one self-describing
     /// PBIO record under the fixed `$topo` format, decoded here across
     /// architectures like any other event.
     pub fn inspect(&mut self) -> Result<TopoSnapshot, ServError> {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.send_raw(K_INSPECT, token, 0, &[])?;
-        let ack = self.await_ack(K_INSPECT_ACK, token)?;
-        let layout = self.wire_layouts.get(&ack.b).cloned().ok_or_else(|| {
-            ServError::Protocol(format!("topology format {} was never announced", ack.b))
-        })?;
+        let (_, record) = self.ctl(CTL_TOPO, &[])?;
+        let missing = || ServError::Protocol("topology reply lacks a topology record".into());
+        record
+            .as_ref()
+            .and_then(topo_from_value)
+            .ok_or_else(missing)
+    }
+
+    /// One control exchange ([`K_CTL`]): send `op` with its `u32be`
+    /// arguments, await the matching [`K_CTL_ACK`], and return its result
+    /// word plus — when the reply carries one — its record, decoded
+    /// through the layout the daemon announced ahead of it.
+    fn ctl(&mut self, op: u32, args: &[u32]) -> Result<(u32, Option<RecordValue>), ServError> {
+        let body: Vec<u8> = args.iter().flat_map(|a| a.to_be_bytes()).collect();
+        let ack = self.request(K_CTL, op, &body, K_CTL_ACK)?;
+        if ack.body.is_empty() {
+            return Ok((ack.b, None));
+        }
+        let layout = self.wire_layouts.get(&ack.b).cloned();
+        let layout = layout.ok_or(ServError::UnknownFormat(ack.b))?;
         let value = decode_native(&ack.body, &layout).map_err(PbioError::from)?;
-        topo_from_value(&value)
-            .ok_or_else(|| ServError::Protocol("topology record lacks required fields".into()))
+        Ok((ack.b, Some(value)))
     }
 
     /// Publish a snapshot of this client's own registry on `channel`
@@ -1605,7 +1603,7 @@ impl ServClient {
                     }
                     match f.kind {
                         // Note announced layouts immediately, so a reply
-                        // that depends on one (K_STATS_ACK) can decode
+                        // that depends on one (K_CTL_ACK) can decode
                         // even though the frame itself is only buffered.
                         K_ANNOUNCE => {
                             self.note_wire_format(f.a, &f.body);

@@ -51,7 +51,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,11 +83,16 @@ use pbio_obs::{
 use pbio_store::{Append, ChannelLog, FlushPolicy, ReplayItem, Store, StoreConfig, FORMAT_RAW};
 use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
+use pbio_types::schema::Schema;
 use pbio_types::value::encode_native_into;
 
 use crate::mesh::{Mesh, MeshConfig, MeshHost, PeerStats};
 use crate::protocol::*;
 use crate::tap::{TapConfig, TapEntry, TapMode, TapState, CAPTURE_CHANNEL, TAP_IN, TAP_OUT};
+
+mod planes;
+
+use planes::{background_loop, register_layout, ReservedPlane};
 
 /// Upper bound on one reactor poll wait: the cadence of shutdown checks
 /// and heartbeat scans when no readiness event arrives sooner.
@@ -111,7 +116,7 @@ pub struct ServConfig {
     /// How often the daemon publishes a snapshot of its metric registry
     /// on the reserved [`STATS_CHANNEL`] — as an ordinary PBIO record,
     /// through the same fan-out every other event takes. `None` disables
-    /// the publisher thread (one-shot [`K_STATS`] pulls still work).
+    /// the push (one-shot [`CTL_STATS`] pulls still work).
     pub stats_interval: Option<Duration>,
     /// Distributed-tracing knobs (see [`TraceConfig`]).
     pub trace: TraceConfig,
@@ -144,7 +149,8 @@ pub struct ServConfig {
     pub durability: Option<StoreConfig>,
     /// Flight-recorder ring capacity: how many recent lifecycle events
     /// (connect/evict/resume, protocol errors, repairs, replays) the
-    /// daemon's black box retains for [`K_INSPECT`] and post-mortems.
+    /// daemon's black box retains for [`CTL_TOPO`] pulls and
+    /// post-mortems.
     pub flight_capacity: usize,
     /// When set, flight events are additionally drained — incrementally,
     /// off the hot path, with every batch fsynced — into a `pbio-store`
@@ -155,12 +161,12 @@ pub struct ServConfig {
     pub flight_dump: Option<PathBuf>,
     /// Wire-tap capture plane: when set, frames crossing every
     /// connection are recorded — per [`crate::tap::TapConfig::mode`],
-    /// switchable at run time with [`K_TAP_CTL`] — into crash-safe
+    /// switchable at run time with [`CTL_TAP`] — into crash-safe
     /// capture segments under [`crate::tap::TapConfig::dir`]. Bodies
     /// are captured by refcount bump on the outbound path; with the tap
     /// disabled the per-frame cost is one relaxed load. `None` — the
     /// default — compiles the tap points in but leaves them inert, and
-    /// makes [`K_TAP_CTL`] a protocol error.
+    /// makes [`CTL_TAP`] a protocol error.
     pub tap: Option<TapConfig>,
     /// Pin each reactor shard thread to its own CPU
     /// (`shard i → cpu i % parallelism`, via raw `sched_setaffinity`)
@@ -210,7 +216,7 @@ pub struct TraceConfig {
     /// Head-sampling modulus advertised to publishers in the HELLO ack:
     /// clients stamp one publish in `sample_mod` with a trace context.
     /// `0` tells publishers not to sample at all. Changeable at run time
-    /// with [`K_TRACE_CTL`] (new sessions see the new value).
+    /// with [`CTL_TRACE_MOD`] (new sessions see the new value).
     pub sample_mod: u32,
     /// How often completed hop records are drained from the sink and
     /// published on the reserved [`TRACE_CHANNEL`] as self-describing
@@ -662,15 +668,50 @@ impl StoreQueue {
 // ---------------------------------------------------------------------------
 // Flight dump: recorder → crash-safe segment log.
 
-/// The flight recorder's on-disk tail: its own `pbio-store` channel log
-/// (flushed every batch, so a killed daemon leaves a decodable prefix and
-/// CRC recovery handles the torn tail), plus the drain cursor and the
-/// flight record's registered layout. Drained by the background thread
-/// each tick and once more at orderly shutdown.
-struct FlightSink {
+/// A crash-safe dump: a dedicated `pbio-store` channel log whose every
+/// appended batch is fsynced, so a killed daemon leaves a decodable
+/// prefix and the next open CRC-recovers the torn tail. Backs both the
+/// flight dump and the wire-tap capture.
+struct DumpLog {
     log: Arc<ChannelLog>,
     /// Keeps the dump's store (and its flush policy) alive.
     _store: Store,
+}
+
+impl DumpLog {
+    fn open(dir: PathBuf, channel: &str) -> io::Result<DumpLog> {
+        let mut cfg = StoreConfig::new(dir);
+        // Every drained batch is fsynced: the dump's whole point is
+        // surviving an unclean death.
+        cfg.flush = FlushPolicy::EveryBatch;
+        let store = Store::open(cfg)?;
+        let log = store.channel(channel)?;
+        Ok(DumpLog { log, _store: store })
+    }
+
+    /// Append `payloads` under `format` as one batch (one flush).
+    fn append(&self, format: u32, payloads: &[Vec<u8>], formats: &FormatServer) -> bool {
+        let start = self.log.reserve(payloads.len() as u64);
+        let recs: Vec<Append<'_>> = payloads
+            .iter()
+            .zip(start..)
+            .map(|(payload, offset)| Append {
+                offset,
+                format,
+                payload,
+            })
+            .collect();
+        self.log
+            .append_batch(&recs, &mut |id| formats.meta(id))
+            .is_ok()
+    }
+}
+
+/// The flight recorder's on-disk tail, plus the drain cursor and the
+/// flight record's registered layout. Drained by the background thread
+/// each tick and once more at orderly shutdown.
+struct FlightSink {
+    dump: DumpLog,
     format: u32,
     layout: Arc<Layout>,
     /// Next recorder generation to drain ([`FlightRecorder::drain_since`]).
@@ -680,14 +721,11 @@ struct FlightSink {
 // ---------------------------------------------------------------------------
 // Wire tap: capture ring → crash-safe segment log.
 
-/// The tap's on-disk half, mirroring [`FlightSink`]: a dedicated
-/// `pbio-store` channel log (flushed every batch, torn tails CRC-recovered
-/// on reopen) that the background thread drains captured frames into.
-/// Records are opaque capture bytes, appended under [`FORMAT_RAW`].
+/// The tap's on-disk half, mirroring [`FlightSink`]: the capture dump
+/// the background thread drains captured frames into. Records are
+/// opaque capture bytes, appended under `FORMAT_RAW`.
 struct TapSink {
-    log: Arc<ChannelLog>,
-    /// Keeps the capture store (and its flush policy) alive.
-    _store: Store,
+    dump: DumpLog,
     /// Encode scratch, reused across drains.
     scratch: Vec<TapEntry>,
     /// Segment count at the last drain, to spot rotations.
@@ -828,6 +866,22 @@ impl ConnShared {
         outcome
     }
 
+    /// Queue a [`K_ANNOUNCE`] of `format`'s layout unless this connection
+    /// already saw one. The caller holds the returned guard while it
+    /// queues the record that needs the announcement, so no concurrent
+    /// sender can slip a record of the format in ahead of it.
+    fn announce(&self, formats: &FormatServer, format: u32) -> MutexGuard<'_, HashSet<u32>> {
+        let mut ann = self.announced.lock().unwrap_or_else(|p| p.into_inner());
+        if !ann.contains(&format) {
+            if let Some(meta) = formats.meta(format) {
+                // The registry's metadata is already shared storage.
+                self.send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
+                ann.insert(format);
+            }
+        }
+        ann
+    }
+
     /// Tell the owning reactor this connection has frames to flush —
     /// deduplicated, so a burst of sends costs one message and one wake.
     fn notify_writable(&self) {
@@ -913,22 +967,6 @@ impl Subscriber for RemoteSubscriber {
     ) -> Result<DeliveryOutcome, Infallible> {
         let has_offset = format & OFFSET_FLAG != 0;
         let format = format & !OFFSET_FLAG;
-        // Announce the format once per connection, strictly before its
-        // first event; the lock spans both enqueues so a concurrent
-        // publisher on another channel cannot interleave.
-        let mut ann = self
-            .conn
-            .announced
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if !ann.contains(&format) {
-            if let Some(meta) = self.formats.meta(format) {
-                // The registry's metadata is already shared storage.
-                self.conn
-                    .send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
-                ann.insert(format);
-            }
-        }
         // The body may end in up to two trailers — the publisher's trace
         // trailer, then (outermost, on durable channels) the daemon's
         // offset stamp. Each subscriber receives exactly the trailers its
@@ -961,7 +999,9 @@ impl Subscriber for RemoteSubscriber {
                 (format | OFFSET_FLAG, WireBuf::from(v))
             }
         };
-        // Per-subscriber cost of an event: one refcount bump.
+        // Per-subscriber cost of an event: one refcount bump, announced
+        // strictly before the format's first event on this connection.
+        let ann = self.conn.announce(&self.formats, format);
         let outcome = self.conn.send_traced(
             Frame::with_body(K_EVENT, self.channel, b, body),
             trace.copied(),
@@ -1019,16 +1059,22 @@ impl Subscriber for RemoteSubscriber {
 // ---------------------------------------------------------------------------
 // Daemon state.
 
+/// Open channels. Channels are never closed, so ids count up densely
+/// from zero and the next id is the map's size.
 struct Channels {
     by_name: HashMap<String, u32>,
-    by_id: HashMap<u32, Arc<Mutex<Fanout<RemoteSubscriber>>>>,
-    /// id → name, shared so the mesh forward path labels work without
-    /// re-allocating the name per publish.
-    name_by_id: HashMap<u32, Arc<str>>,
-    /// id → home daemon's mesh index (this daemon's own index for local
-    /// and reserved channels; 0 when no mesh is configured).
-    home_by_id: HashMap<u32, u32>,
-    next: u32,
+    by_id: HashMap<u32, Chan>,
+}
+
+/// One open channel: its fan-out plus what routing, labels and tracing
+/// look up by id.
+struct Chan {
+    fanout: Arc<Mutex<Fanout<RemoteSubscriber>>>,
+    /// Shared: mesh forwards and metric labels never re-allocate it.
+    name: Arc<str>,
+    /// Home mesh index (own index for local and `$` channels; 0 standalone).
+    home: u32,
+    hops: Arc<ChanHops>,
 }
 
 /// One channel's labeled per-hop latency histograms, resolved once when
@@ -1075,28 +1121,16 @@ struct State {
     conns: Mutex<Vec<Weak<ConnShared>>>,
     /// Sequence number stamped into stats records.
     stats_seq: AtomicU64,
-    /// Channel id of the pre-opened [`STATS_CHANNEL`].
-    stats_channel: u32,
-    /// Channel id of the pre-opened [`TRACE_CHANNEL`].
-    trace_channel: u32,
-    /// Channel id of the pre-opened [`TOPO_CHANNEL`].
-    topo_channel: u32,
+    /// The reserved-plane table (`$stats`, `$topo`, `$trace`).
+    planes: [ReservedPlane; 3],
     /// Head-sampling modulus advertised to publishers (0 = off); swapped
-    /// at run time by [`K_TRACE_CTL`].
+    /// at run time by [`CTL_TRACE_MOD`].
     trace_mod: AtomicU32,
     /// Hop records from every tracing stage, bounded; drained by the
     /// background exporter onto [`TRACE_CHANNEL`].
     hops: Arc<TraceSink>,
-    /// Per-channel hop histograms, resolved at channel open.
-    chan_hops: Mutex<HashMap<u32, Arc<ChanHops>>>,
-    /// The hop record's registered `(format id, layout)`, registered on
-    /// first export.
-    trace_format: OnceLock<Option<(u32, Arc<Layout>)>>,
-    /// The topology record's `(format id, layout)` — fixed columnar
-    /// schema, so one registration serves the daemon's lifetime.
-    topo_format: OnceLock<Option<(u32, Arc<Layout>)>>,
     /// The daemon's black box: bounded lock-free ring of lifecycle
-    /// events, served through [`K_INSPECT`] and dumped via `flight_sink`.
+    /// events, served through [`CTL_TOPO`] and dumped via `flight_sink`.
     flight: Arc<FlightRecorder>,
     /// Crash-safe flight dump: a dedicated segment log (fsync per batch)
     /// the recorder drains into incrementally. `None` when
@@ -1105,7 +1139,7 @@ struct State {
     /// The wire tap's in-memory half: runtime mode switch + bounded
     /// capture ring, consulted (one relaxed load) on every frame both
     /// directions. `None` when [`ServConfig::tap`] is unset — then
-    /// [`K_TAP_CTL`] is a protocol error and the tap points are inert.
+    /// [`CTL_TAP`] is a protocol error and the tap points are inert.
     tap: Option<Arc<TapState>>,
     /// The tap's on-disk half: the capture segment log the background
     /// thread drains the ring into (fsync per batch, like the flight
@@ -1172,19 +1206,11 @@ impl State {
         };
         let flight_sink = match &config.flight_dump {
             Some(dir) => {
-                let mut cfg = StoreConfig::new(dir.clone());
-                // Every drained batch is fsynced: the dump's whole point
-                // is surviving an unclean death.
-                cfg.flush = FlushPolicy::EveryBatch;
-                let fstore = Store::open(cfg)?;
-                let log = fstore.channel("flight")?;
-                let layout = Layout::of(&flight_schema(), STATS_PROFILE)
-                    .map_err(|e| io::Error::other(format!("flight record layout: {e}")))?;
-                let layout = Arc::new(layout);
-                let (format, _, _) = formats.register(&layout);
+                let dump = DumpLog::open(dir.clone(), "flight")?;
+                let (format, layout) = register_layout(&formats, &flight_schema())
+                    .ok_or_else(|| io::Error::other("flight record does not lay out"))?;
                 Some(Mutex::new(FlightSink {
-                    log,
-                    _store: fstore,
+                    dump,
                     format,
                     layout,
                     cursor: 0,
@@ -1194,21 +1220,15 @@ impl State {
         };
         let (tap, tap_sink) = match &config.tap {
             Some(cfg) => {
-                let mut scfg = StoreConfig::new(cfg.dir.clone());
-                // Same contract as the flight dump: a killed daemon must
-                // leave a decodable capture, so every batch is fsynced.
-                scfg.flush = FlushPolicy::EveryBatch;
-                let tstore = Store::open(scfg)?;
-                let log = tstore.channel(CAPTURE_CHANNEL)?;
+                let dump = DumpLog::open(cfg.dir.clone(), CAPTURE_CHANNEL)?;
                 let state = Arc::new(TapState::new(cfg.mode, cfg.ring_capacity));
                 if cfg.mode != TapMode::Off {
                     let (mode, param) = cfg.mode.to_wire();
                     flight.record(FL_TAP_START, 0, 0, mode, u64::from(param));
                 }
                 let sink = TapSink {
-                    segments: log.segment_count(),
-                    log,
-                    _store: tstore,
+                    segments: dump.log.segment_count(),
+                    dump,
                     scratch: Vec::new(),
                     dropped_seen: 0,
                 };
@@ -1238,9 +1258,6 @@ impl State {
             channels: Mutex::new(Channels {
                 by_name: HashMap::new(),
                 by_id: HashMap::new(),
-                name_by_id: HashMap::new(),
-                home_by_id: HashMap::new(),
-                next: 0,
             }),
             registry,
             metrics,
@@ -1255,14 +1272,9 @@ impl State {
             pool,
             conns: Mutex::new(Vec::new()),
             stats_seq: AtomicU64::new(0),
-            stats_channel: 0,
-            trace_channel: 0,
-            topo_channel: 0,
+            planes: Default::default(),
             trace_mod: AtomicU32::new(config.trace.sample_mod),
             hops: Arc::new(TraceSink::new(config.trace.sink_capacity)),
-            chan_hops: Mutex::new(HashMap::new()),
-            trace_format: OnceLock::new(),
-            topo_format: OnceLock::new(),
             flight,
             flight_sink,
             tap,
@@ -1278,9 +1290,7 @@ impl State {
             active_replays: AtomicUsize::new(0),
             mesh,
         };
-        state.stats_channel = state.open_channel(STATS_CHANNEL);
-        state.trace_channel = state.open_channel(TRACE_CHANNEL);
-        state.topo_channel = state.open_channel(TOPO_CHANNEL);
+        state.open_planes(config);
         Ok(state)
     }
 
@@ -1290,31 +1300,36 @@ impl State {
         conns.push(Arc::downgrade(conn));
     }
 
-    fn open_channel(&self, name: &str) -> u32 {
-        // Non-durable open cannot fail.
-        self.open_channel_flags(name, 0).unwrap()
-    }
-
     /// Create-or-open `name`; [`CHAN_DURABLE`] in `flags` additionally
     /// attaches the channel to its segment log (creating it, running
     /// crash recovery if it already exists on disk). Durability is
     /// sticky: once any opener passed the flag, later plain opens of the
-    /// same name share the durable channel.
+    /// same name share the durable channel. In a mesh only the channel's
+    /// home may open it durable: elsewhere publishes are forwarded before
+    /// any store append, so a local log would never be written and no
+    /// publisher would ever be acked.
     fn open_channel_flags(&self, name: &str, flags: u32) -> Result<u32, String> {
-        let id = self.open_channel_inner(name);
-        if flags & CHAN_DURABLE != 0 {
-            let Some(store) = &self.store else {
-                return Err(format!(
-                    "channel {name:?} requested durability, but this daemon has no store configured"
-                ));
-            };
-            let mut logs = self.logs.lock().unwrap_or_else(|p| p.into_inner());
-            if let std::collections::hash_map::Entry::Vacant(e) = logs.entry(id) {
-                let log = store
-                    .channel(name)
-                    .map_err(|e| format!("opening segment log for {name:?}: {e}"))?;
-                e.insert(log);
-            }
+        if flags & CHAN_DURABLE == 0 {
+            return Ok(self.open_channel(name));
+        }
+        let Some(store) = &self.store else {
+            return Err(format!(
+                "channel {name:?} requested durability, but this daemon has no store configured"
+            ));
+        };
+        if let Some(mesh) = self.mesh.as_ref().filter(|m| m.home(name) != m.index) {
+            let home = mesh.home(name);
+            return Err(format!(
+                "channel {name:?} is homed at mesh index {home}; open it durable there"
+            ));
+        }
+        let id = self.open_channel(name);
+        let mut logs = self.logs.lock().unwrap_or_else(|p| p.into_inner());
+        if let std::collections::hash_map::Entry::Vacant(e) = logs.entry(id) {
+            let log = store
+                .channel(name)
+                .map_err(|e| format!("opening segment log for {name:?}: {e}"))?;
+            e.insert(log);
         }
         Ok(id)
     }
@@ -1328,13 +1343,14 @@ impl State {
             .cloned()
     }
 
-    fn open_channel_inner(&self, name: &str) -> u32 {
+    /// Create-or-open `name` as a plain (non-durable) channel.
+    fn open_channel(&self, name: &str) -> u32 {
         let mut chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(&id) = chans.by_name.get(name) {
             return id;
         }
-        let id = chans.next;
-        chans.next += 1;
+        let id = chans.by_id.len() as u32;
+        let hist = |metric| self.registry.histogram_labeled(metric, "chan", name);
         let mut fanout = Fanout::new();
         fanout.set_obs(FanoutObs {
             fanout_ns: self.metrics.fanout_ns.clone(),
@@ -1343,47 +1359,30 @@ impl State {
             trace: Some(FanoutTraceObs {
                 sink: self.hops.clone(),
                 channel: id,
-                hop_filter_ns: self
-                    .registry
-                    .histogram_labeled("hop_filter_ns", "chan", name),
+                hop_filter_ns: hist("hop_filter_ns"),
             }),
         });
+        let chan = Chan {
+            fanout: Arc::new(Mutex::new(fanout)),
+            name: Arc::from(name),
+            home: self.mesh.as_ref().map_or(0, |m| m.home(name)),
+            hops: Arc::new(ChanHops {
+                ingress_ns: hist("hop_ingress_ns"),
+                enqueue_ns: hist("hop_enqueue_ns"),
+                flush_ns: hist("hop_flush_ns"),
+            }),
+        };
         chans.by_name.insert(name.to_owned(), id);
-        chans.by_id.insert(id, Arc::new(Mutex::new(fanout)));
-        chans.name_by_id.insert(id, Arc::from(name));
-        chans
-            .home_by_id
-            .insert(id, self.mesh.as_ref().map_or(0, |m| m.home(name)));
-        // Label the per-hop histograms once, here: the publish, enqueue
-        // and flush paths record through these `Arc`s without ever
-        // touching a string.
-        self.chan_hops
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(
-                id,
-                Arc::new(ChanHops {
-                    ingress_ns: self
-                        .registry
-                        .histogram_labeled("hop_ingress_ns", "chan", name),
-                    enqueue_ns: self
-                        .registry
-                        .histogram_labeled("hop_enqueue_ns", "chan", name),
-                    flush_ns: self
-                        .registry
-                        .histogram_labeled("hop_flush_ns", "chan", name),
-                }),
-            );
+        chans.by_id.insert(id, chan);
         id
     }
 
-    /// A channel's `(name, home index)` for mesh routing — both shared
-    /// copies, so the publish path pays two map hits and no allocation.
+    /// A channel's `(name, home index)` for mesh routing and metric
+    /// labels — a shared name, so callers pay one map hit and no
+    /// allocation.
     fn channel_route(&self, id: u32) -> Option<(Arc<str>, u32)> {
         let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
-        let name = chans.name_by_id.get(&id)?.clone();
-        let home = *chans.home_by_id.get(&id)?;
-        Some((name, home))
+        chans.by_id.get(&id).map(|c| (c.name.clone(), c.home))
     }
 
     /// A fresh format registration, visible mesh-wide: gossip it to
@@ -1419,47 +1418,8 @@ impl State {
     }
 
     fn chan_hops(&self, id: u32) -> Option<Arc<ChanHops>> {
-        self.chan_hops
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&id)
-            .cloned()
-    }
-
-    /// The hop record's daemon-global format, registered on first use
-    /// (`None` is sticky if the schema cannot lay out, which cannot
-    /// happen for the all-scalar hop record).
-    fn trace_format(&self) -> Option<(u32, Arc<Layout>)> {
-        self.trace_format
-            .get_or_init(|| {
-                let layout = Arc::new(Layout::of(&hop_schema(), STATS_PROFILE).ok()?);
-                let (format, _, _) = self.formats.register(&layout);
-                Some((format, layout))
-            })
-            .clone()
-    }
-
-    /// The topology record's daemon-global format: one fixed columnar
-    /// schema (every section is a capped array plus a count), so the id
-    /// never varies with daemon load and is registered exactly once.
-    fn topo_format(&self) -> Option<(u32, Arc<Layout>)> {
-        self.topo_format
-            .get_or_init(|| {
-                let layout = Arc::new(Layout::of(&topo_schema(), STATS_PROFILE).ok()?);
-                let (format, _, _) = self.formats.register(&layout);
-                Some((format, layout))
-            })
-            .clone()
-    }
-
-    /// The name a channel id was opened under, for metric labels.
-    fn channel_name(&self, id: u32) -> Option<String> {
         let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
-        chans
-            .by_name
-            .iter()
-            .find(|(_, &v)| v == id)
-            .map(|(k, _)| k.clone())
+        chans.by_id.get(&id).map(|c| c.hops.clone())
     }
 
     /// Register (or fetch) the delivered watermark for one durable
@@ -1484,280 +1444,24 @@ impl State {
             doomed.into_iter().map(|(chan, _)| chan).collect()
         };
         for chan in removed {
-            if let Some(name) = self.channel_name(chan) {
-                self.registry
-                    .gauge_labeled2(
-                        "serv_consumer_lag",
-                        "chan",
-                        &name,
-                        "conn",
-                        &conn.to_string(),
-                    )
-                    .set(0);
+            if let Some(gauge) = self.lag_gauge(chan, conn) {
+                gauge.set(0);
             }
         }
     }
 
-    /// Current consumer-lag watermarks, refreshing the
-    /// `serv_consumer_lag{chan,conn}` gauges as a side effect — called
-    /// from every stats encode and topology capture, so the gauges ride
-    /// both `$stats` and `$topo`. Replay-in-progress consumers are
-    /// included: their watermark advances as the replay streams.
-    fn lag_watermarks(&self) -> Vec<TopoLag> {
-        let entries: Vec<((u32, u32), Arc<AtomicU64>)> = {
-            let lags = self.lags.lock().unwrap_or_else(|p| p.into_inner());
-            lags.iter().map(|(k, v)| (*k, v.clone())).collect()
-        };
-        let mut out = Vec::with_capacity(entries.len());
-        for ((chan, conn), delivered) in entries {
-            let Some(log) = self.log(chan) else { continue };
-            let lag = TopoLag {
-                chan,
-                conn,
-                head: log.head(),
-                delivered: delivered.load(Ordering::Relaxed),
-            };
-            if let Some(name) = self.channel_name(chan) {
-                self.registry
-                    .gauge_labeled2(
-                        "serv_consumer_lag",
-                        "chan",
-                        &name,
-                        "conn",
-                        &conn.to_string(),
-                    )
-                    .set(i64::try_from(lag.lag()).unwrap_or(i64::MAX));
-            }
-            out.push(lag);
-        }
-        out.sort_by_key(|l| (l.chan, l.conn));
-        out
-    }
-
-    /// Capture the daemon's live topology: every lock is taken briefly
-    /// and in a fixed order (conns, then channels, then per-fanout, then
-    /// lags), never nested with the publish path's channel→fanout order
-    /// reversed — capture is safe to run concurrently with full load.
-    fn capture(&self) -> TopoSnapshot {
-        let mut topo = TopoSnapshot {
-            t_ns: epoch_ns(),
-            ..TopoSnapshot::default()
-        };
-        {
-            let conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-            for c in conns.iter().filter_map(Weak::upgrade) {
-                if !c.alive.load(Ordering::Relaxed) {
-                    continue;
-                }
-                topo.conns.push(TopoConn {
-                    conn: c.id,
-                    shard: c.shard_idx,
-                    caps: c.caps(),
-                    queue_depth: c.outbound.event_backlog() as u64,
-                    bytes_sent: c.counters.bytes_sent.load(Ordering::Relaxed),
-                    frames_sent: c.counters.frames_sent.load(Ordering::Relaxed),
-                    tapped: c.counters.frames_tapped.load(Ordering::Relaxed),
-                    last_active_ns: c.last_active_ns.load(Ordering::Relaxed),
-                });
-            }
-        }
-        topo.conns.sort_by_key(|c| c.conn);
-        type ChanRow = (String, u32, Arc<Mutex<Fanout<RemoteSubscriber>>>);
-        let chans: Vec<ChanRow> = {
-            let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
-            chans
-                .by_name
-                .iter()
-                .filter_map(|(name, &id)| {
-                    chans.by_id.get(&id).map(|f| (name.clone(), id, f.clone()))
-                })
-                .collect()
-        };
-        for (name, id, fanout) in chans {
-            let (subscribers, publishes) = {
-                let f = fanout.lock().unwrap_or_else(|p| p.into_inner());
-                (f.active_count() as u64, f.stats().published)
-            };
-            let log = self.log(id);
-            let home = self.mesh.as_ref().map_or(0, |m| m.home(&name));
-            topo.channels.push(TopoChannel {
-                id,
-                name,
-                subscribers,
-                publishes,
-                durable: log.is_some(),
-                head: log.as_ref().map_or(0, |l| l.head()),
-                segments: log.as_ref().map_or(0, |l| l.segment_count() as u64),
-                disk_bytes: log.as_ref().and_then(|l| l.disk_bytes().ok()).unwrap_or(0),
-                home,
-            });
-        }
-        topo.channels.sort_by_key(|c| c.id);
-        if let Some(mesh) = &self.mesh {
-            for p in mesh.peer_stats() {
-                topo.peers.push(TopoPeer {
-                    peer: p.peer,
-                    connected: p.connected,
-                    relay_tx: p.relay_tx,
-                    relay_rx: p.relay_rx,
-                    relay_dropped: p.relay_dropped,
-                    pending: p.pending,
-                    last_rx_ns: p.last_rx_ns,
-                });
-            }
-        }
-        for (i, s) in self.shard_load.iter().enumerate() {
-            topo.shards.push(TopoShard {
-                shard: i as u32,
-                conns: s.conns.get(),
-                ready: s.ready.get(),
-                wakeups: s.wakeups.get(),
-                cpu: self.shard_cpus[i].load(Ordering::Relaxed),
-            });
-        }
-        topo.lags = self.lag_watermarks();
-        topo.flight = self.flight.recent();
-        topo.conn_total = topo.conns.len() as u64;
-        topo.chan_total = topo.channels.len() as u64;
-        topo.lag_total = topo.lags.len() as u64;
-        topo.flight_total = self.flight.recorded();
-        topo
-    }
-
-    /// Encode one topology capture as a PBIO record under the fixed
-    /// `$topo` format; `(format id, NDR bytes)` like [`State::encode_stats`].
-    fn encode_topo(&self) -> Option<(u32, WireBuf)> {
-        let (format, layout) = self.topo_format()?;
-        let topo = self.capture();
-        let mut buf = self.pool.get(layout.size());
-        encode_native_into(&topo_value(&topo), &layout, &mut buf).ok()?;
-        Some((format, WireBuf::copy_from(&buf)))
-    }
-
-    /// Drain new flight events into the dump log. Each batch is fsynced
-    /// by the sink's flush policy, so however the process dies after this
-    /// returns, everything drained so far is decodable; an abrupt death
-    /// mid-append leaves a torn tail the next open CRC-recovers.
-    fn drain_flight(&self) {
-        let Some(sink) = &self.flight_sink else {
-            return;
-        };
-        let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-        let (events, next) = self.flight.drain_since(sink.cursor);
-        if events.is_empty() {
-            sink.cursor = next;
-            return;
-        }
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(events.len());
-        for ev in &events {
-            let mut buf = Vec::with_capacity(sink.layout.size());
-            if encode_native_into(&flight_value(ev), &sink.layout, &mut buf).is_ok() {
-                bufs.push(buf);
-            }
-        }
-        let start = sink.log.reserve(bufs.len() as u64);
-        let recs: Vec<Append<'_>> = bufs
-            .iter()
-            .enumerate()
-            .map(|(i, b)| Append {
-                offset: start + i as u64,
-                format: sink.format,
-                payload: b,
-            })
-            .collect();
-        if sink
-            .log
-            .append_batch(&recs, &mut |id| self.formats.meta(id))
-            .is_ok()
-        {
-            sink.cursor = next;
-        }
-    }
-
-    /// Drain the tap ring into the capture segment log. Same crash
-    /// contract as [`State::drain_flight`]: every appended batch is
-    /// fsynced, a death mid-append leaves a CRC-recoverable torn tail.
-    /// Rotations and ring overflow observed since the last drain are
-    /// recorded into the flight recorder, so `$topo` narrates the
-    /// capture's own lifecycle.
-    fn drain_tap(&self) {
-        let (Some(tap), Some(sink)) = (&self.tap, &self.tap_sink) else {
-            return;
-        };
-        let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-        let sink = &mut *sink;
-        sink.scratch.clear();
-        tap.drain(&mut sink.scratch);
-        if !sink.scratch.is_empty() {
-            let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(sink.scratch.len());
-            for entry in &sink.scratch {
-                let mut buf = Vec::with_capacity(13 + FRAME_HEADER_SIZE + entry.body.len());
-                entry.encode_into(&mut buf);
-                bufs.push(buf);
-            }
-            let start = sink.log.reserve(bufs.len() as u64);
-            let recs: Vec<Append<'_>> = bufs
-                .iter()
-                .enumerate()
-                .map(|(i, b)| Append {
-                    offset: start + i as u64,
-                    // Raw capture bytes: no layout, no meta record.
-                    format: FORMAT_RAW,
-                    payload: b,
-                })
-                .collect();
-            let _ = sink
-                .log
-                .append_batch(&recs, &mut |id| self.formats.meta(id));
-            sink.scratch.clear();
-        }
-        let segments = sink.log.segment_count();
-        if segments > sink.segments {
-            self.flight.record(FL_TAP_ROTATE, 0, 0, 0, segments as u64);
-        }
-        sink.segments = segments;
-        let dropped = tap.dropped();
-        if dropped > sink.dropped_seen {
-            self.flight.record(FL_TAP_DROP, 0, 0, 0, dropped);
-            sink.dropped_seen = dropped;
-        }
-    }
-
-    /// Encode one snapshot of the daemon's registry (merged with the
-    /// process-global module metrics) as a PBIO record: generate its
-    /// schema, register the layout like any client format (equal metric
-    /// sets dedup to the same id), and return `(format id, NDR bytes)`.
-    fn encode_stats(&self) -> Option<(u32, WireBuf)> {
-        let seq = self.stats_seq.fetch_add(1, Ordering::Relaxed);
-        // Refresh the consumer-lag gauges first so they ride this very
-        // snapshot, not the previous one.
-        let _ = self.lag_watermarks();
-        let mut snap = self.registry.snapshot();
-        snap.merge_from(&Registry::global().snapshot());
-        let t = epoch_ns();
-        let header = StatsHeader {
-            role: ROLE_DAEMON,
-            id: 0,
-            seq,
-            t_ns: t,
-            snapshot_ns: t,
-        };
-        let schema = stats_schema(&snap);
-        let layout = Arc::new(Layout::of(&schema, STATS_PROFILE).ok()?);
-        let (format, _, _) = self.formats.register(&layout);
-        let value = stats_value(&header, &snap);
-        let mut buf = self.pool.get(layout.size());
-        encode_native_into(&value, &layout, &mut buf).ok()?;
-        Some((format, WireBuf::copy_from(&buf)))
+    /// The `serv_consumer_lag{chan,conn}` gauge of one durable subscriber.
+    fn lag_gauge(&self, chan: u32, conn: u32) -> Option<Arc<Gauge>> {
+        let (name, conn) = (self.channel_route(chan)?.0, conn.to_string());
+        Some(
+            self.registry
+                .gauge_labeled2("serv_consumer_lag", "chan", &name, "conn", &conn),
+        )
     }
 
     fn channel(&self, id: u32) -> Option<Arc<Mutex<Fanout<RemoteSubscriber>>>> {
-        self.channels
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .by_id
-            .get(&id)
-            .cloned()
+        let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
+        chans.by_id.get(&id).map(|c| c.fanout.clone())
     }
 }
 
@@ -1937,12 +1641,10 @@ impl ServDaemon {
             || state.tap_sink.is_some()
         {
             let bg_state = state.clone();
-            let stats_interval = config.stats_interval;
-            let trace_interval = config.trace.publish_interval;
             Some(
                 std::thread::Builder::new()
                     .name("pbio-serv-stats".into())
-                    .spawn(move || background_loop(bg_state, stats_interval, trace_interval))?,
+                    .spawn(move || background_loop(bg_state))?,
             )
         } else {
             None
@@ -1998,13 +1700,13 @@ impl ServDaemon {
     }
 
     /// Current head-sampling modulus advertised to new sessions (0 =
-    /// off). Changed by [`K_TRACE_CTL`] or set at bind time via
+    /// off). Changed by [`CTL_TRACE_MOD`] or set at bind time via
     /// [`TraceConfig::sample_mod`].
     pub fn trace_sampling(&self) -> u32 {
         self.state.trace_mod.load(Ordering::Relaxed)
     }
 
-    /// A live topology snapshot — the same capture [`K_INSPECT`] answers
+    /// A live topology snapshot — the same capture [`CTL_TOPO`] answers
     /// and the `$topo` channel pushes: per-connection queue depths,
     /// per-channel fan-out and durable-log footprint, per-shard load,
     /// consumer-lag watermarks, and the flight-recorder tail.
@@ -2013,7 +1715,7 @@ impl ServDaemon {
     }
 
     /// The daemon's flight recorder: the bounded ring of lifecycle
-    /// events behind [`K_INSPECT`] dumps and [`ServConfig::flight_dump`].
+    /// events behind [`CTL_TOPO`] pulls and [`ServConfig::flight_dump`].
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.state.flight
     }
@@ -2191,131 +1893,6 @@ fn accept_loop(listener: TcpListener, state: Arc<State>, shards: Vec<Arc<ShardHa
         state.track(&conn);
         let fd = source_of(rd.get_ref());
         shard.notify(ShardMsg::NewConn(Box::new(NewConn { conn, rd, wr, fd })));
-    }
-}
-
-/// Periodically publish the daemon's registry snapshot on the reserved
-/// stats channel and drain completed trace hops onto the reserved trace
-/// channel — both through the same fan-out path as any client event:
-/// subscribers get the records announced, filtered, queued, and batched
-/// exactly like application data.
-fn background_loop(
-    state: Arc<State>,
-    stats_interval: Option<Duration>,
-    trace_interval: Option<Duration>,
-) {
-    let shortest = [stats_interval, trace_interval]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(POLL_INTERVAL);
-    let step = shortest.min(POLL_INTERVAL).max(Duration::from_millis(1));
-    let mut since_stats = Duration::ZERO;
-    let mut since_trace = Duration::ZERO;
-    loop {
-        std::thread::sleep(step);
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        since_stats += step;
-        since_trace += step;
-        if let Some(interval) = stats_interval {
-            if since_stats >= interval {
-                since_stats = Duration::ZERO;
-                publish_stats(&state);
-                publish_topo(&state);
-            }
-        }
-        if let Some(interval) = trace_interval {
-            if since_trace >= interval {
-                since_trace = Duration::ZERO;
-                publish_trace(&state);
-            }
-        }
-        // Incremental flight and capture dumps on every tick: the window
-        // an unclean death can lose is one step, not the whole ring.
-        state.drain_flight();
-        state.drain_tap();
-    }
-}
-
-/// True when the reserved channel has at least one live subscriber.
-/// Snapshot publishers check this *before* encoding: with nobody
-/// listening the daemon skips the whole capture/encode, and the skip is
-/// counted in `serv_stats_suppressed`.
-fn reserved_has_audience(state: &State, chan: u32) -> bool {
-    let Some(fanout) = state.channel(chan) else {
-        return false;
-    };
-    let n = fanout
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .active_count();
-    if n == 0 {
-        state.metrics.stats_suppressed.inc();
-        return false;
-    }
-    true
-}
-
-fn publish_stats(state: &State) {
-    if !reserved_has_audience(state, state.stats_channel) {
-        return;
-    }
-    let Some((format, wire)) = state.encode_stats() else {
-        return;
-    };
-    let Some(fanout) = state.channel(state.stats_channel) else {
-        return;
-    };
-    let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = fanout.publish_shared(format, &wire);
-    state.registry.trace("stats_publish", format as u64);
-}
-
-/// Publish one topology capture on the reserved [`TOPO_CHANNEL`] — the
-/// push side of [`K_INSPECT`], riding the same fan-out as any event.
-fn publish_topo(state: &State) {
-    if !reserved_has_audience(state, state.topo_channel) {
-        return;
-    }
-    let Some((format, wire)) = state.encode_topo() else {
-        return;
-    };
-    let Some(fanout) = state.channel(state.topo_channel) else {
-        return;
-    };
-    let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = fanout.publish_shared(format, &wire);
-}
-
-/// Drain the hop sink and publish each record on [`TRACE_CHANNEL`]:
-/// self-describing PBIO records, consumed by `pbio-trace` (or any raw
-/// subscriber) with no schema agreed out of band. With no subscriber the
-/// drain (and every encode) is skipped; hops keep accumulating in the
-/// bounded sink, oldest evicted first.
-fn publish_trace(state: &State) {
-    if state.hops.is_empty() {
-        return;
-    }
-    if !reserved_has_audience(state, state.trace_channel) {
-        return;
-    }
-    let Some((format, layout)) = state.trace_format() else {
-        return;
-    };
-    let Some(fanout) = state.channel(state.trace_channel) else {
-        return;
-    };
-    let mut buf = state.pool.get(layout.size());
-    for hop in state.hops.drain() {
-        buf.clear();
-        if encode_native_into(&hop_value(&hop), &layout, &mut buf).is_err() {
-            continue;
-        }
-        let wire = WireBuf::copy_from(&buf);
-        let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = fanout.publish_shared(format, &wire);
     }
 }
 
@@ -3303,87 +2880,7 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 .filtered_at_source
                 .add(after.filtered_out - before.filtered_out);
         }
-        K_STATS => match state.encode_stats() {
-            Some((format, wire)) => {
-                // Announce the snapshot's format once per connection
-                // (under the same lock the event path uses), so the
-                // client can decode the body that follows.
-                let mut ann = conn.announced.lock().unwrap_or_else(|p| p.into_inner());
-                if !ann.contains(&format) {
-                    if let Some(meta) = state.formats.meta(format) {
-                        conn.send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
-                        ann.insert(format);
-                    }
-                }
-                conn.send(Frame::with_body(K_STATS_ACK, header.a, format, wire));
-                drop(ann);
-            }
-            None => send_error(state, conn, E_FORMAT, "stats snapshot encoding failed"),
-        },
-        // The pull side of the introspection plane: capture live
-        // topology, announce the fixed `$topo` format once per
-        // connection, and answer with the snapshot's NDR bytes — the
-        // same record the `$topo` channel pushes.
-        K_INSPECT => match state.encode_topo() {
-            Some((format, wire)) => {
-                let mut ann = conn.announced.lock().unwrap_or_else(|p| p.into_inner());
-                if !ann.contains(&format) {
-                    if let Some(meta) = state.formats.meta(format) {
-                        conn.send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
-                        ann.insert(format);
-                    }
-                }
-                conn.send(Frame::with_body(K_INSPECT_ACK, header.a, format, wire));
-                drop(ann);
-            }
-            None => send_error(state, conn, E_FORMAT, "topology snapshot encoding failed"),
-        },
-        K_TRACE_CTL => {
-            let prev = state.trace_mod.swap(header.b, Ordering::Relaxed);
-            conn.send(Frame::control(K_TRACE_CTL_ACK, header.a, prev));
-        }
-        K_TAP_CTL => {
-            let Some(tap) = &state.tap else {
-                send_error(
-                    state,
-                    conn,
-                    E_PROTOCOL,
-                    "tap control on a daemon with no capture plane configured",
-                );
-                return;
-            };
-            let param = match body {
-                [] => 0,
-                [p0, p1, p2, p3] => u32::from_be_bytes([*p0, *p1, *p2, *p3]),
-                _ => {
-                    send_error(state, conn, E_PROTOCOL, "malformed tap control body");
-                    return;
-                }
-            };
-            let Some(mode) = TapMode::from_wire(header.b, param) else {
-                send_error(
-                    state,
-                    conn,
-                    E_PROTOCOL,
-                    format!("unknown tap mode {} (param {param})", header.b),
-                );
-                return;
-            };
-            let prev = tap.set_mode(mode);
-            if mode == TapMode::Off {
-                if prev != TapMode::Off {
-                    state
-                        .flight
-                        .record(FL_TAP_STOP, conn.id, 0, 0, tap.captured());
-                }
-            } else {
-                state
-                    .flight
-                    .record(FL_TAP_START, conn.id, 0, header.b, u64::from(param));
-            }
-            let (prev_mode, _) = prev.to_wire();
-            conn.send(Frame::control(K_TAP_CTL_ACK, header.a, prev_mode));
-        }
+        K_CTL => state.handle_ctl(conn, header.a, header.b, body),
         // A peer probing us gets the echo; a pong (the answer to our
         // own probe) needs no handling beyond the `last_rx` refresh
         // every received frame already performed.
@@ -3819,15 +3316,19 @@ mod tests {
         assert!(state.channel(a).is_some());
         assert!(state.channel(99).is_none());
         // The stats channel is pre-opened and create-or-get finds it.
-        assert_eq!(state.open_channel(STATS_CHANNEL), state.stats_channel);
+        assert_eq!(
+            state.open_channel(STATS_CHANNEL),
+            state.planes[planes::Plane::Stats as usize].channel
+        );
     }
 
     #[test]
     fn encoded_stats_dedup_until_the_metric_set_changes() {
         let state = State::new(&ServConfig::default()).unwrap();
         state.metrics.events_in.add(3);
-        let (fmt_a, wire_a) = state.encode_stats().expect("snapshot encodes");
-        let (fmt_b, _) = state.encode_stats().expect("snapshot encodes");
+        let encode_stats = || state.encode_one(planes::Plane::Stats);
+        let (fmt_a, wire_a) = encode_stats().expect("snapshot encodes");
+        let (fmt_b, _) = encode_stats().expect("snapshot encodes");
         assert_eq!(
             fmt_a, fmt_b,
             "equal metric sets produce one registered format"
@@ -3835,7 +3336,7 @@ mod tests {
         assert!(!wire_a.is_empty());
         // A new metric changes the schema, hence the format id.
         state.registry.counter("serv_extra").inc();
-        let (fmt_c, _) = state.encode_stats().expect("snapshot encodes");
+        let (fmt_c, _) = encode_stats().expect("snapshot encodes");
         assert_ne!(fmt_a, fmt_c);
     }
 }

@@ -50,7 +50,7 @@
 //!   a seeded [`pbio_net::fault::FaultyStream`] via
 //!   [`ServConfig::fault_seed`].
 //!
-//! * **The daemon is introspectable**: an `INSPECT` exchange (and the
+//! * **The daemon is introspectable**: a `CTL_TOPO` control pull (and the
 //!   reserved `$topo` push channel) returns a live topology snapshot —
 //!   per-connection queue depth and shard assignment, per-channel
 //!   subscriber counts and durable heads, per-shard reactor load,
@@ -66,7 +66,7 @@
 //!   [`ServConfig::tap`] records frames — direction, timestamp,
 //!   connection id, exact bytes — into crash-safe capture segments
 //!   ([`tap`]), toggleable per-mode at run time over the wire
-//!   ([`protocol::K_TAP_CTL`]: full / 1-in-N sampled / single-channel).
+//!   ([`protocol::CTL_TAP`]: full / 1-in-N sampled / single-channel).
 //!   Captures are self-describing (the session's own `FORMAT` frames
 //!   travel inside), decodable offline frame-by-frame and record-by-
 //!   record, and *replayable*: [`tap::replay_session`] re-drives a

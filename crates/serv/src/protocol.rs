@@ -40,6 +40,10 @@
 //!   |  <--------------------------------    |    before its first event)
 //!   |            EVENT    a=chan b=fmt      |   (sender's untouched native
 //!   |  <--------------------------------    |    bytes; receiver converts)
+//!   | CTL      a=token b=op body=args       |   (stats/topology pulls,
+//!   |  -------------------------------->    |    trace + tap switches;
+//!   |            CTL_ACK a=token b=result   |    body = PBIO record or
+//!   |  <--------------------------------    |    empty — see K_CTL)
 //!   | BYE                                   |
 //!   |  -------------------------------->    |
 //!   |            BYE_ACK                    |
@@ -51,8 +55,9 @@
 //! *publisher's* wire format, so rejected events cost no transmission —
 //! the paper's "filter at the source" (§5) for derived event channels.
 
-/// Protocol version carried in `HELLO`/`HELLO_ACK`.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Protocol version carried in `HELLO`/`HELLO_ACK` (any other draws
+/// `ERROR(E_VERSION)`). Version 2 folded version 1's four control pairs into [`K_CTL`].
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Name of the reserved channel the daemon publishes its own metric
 /// snapshots on (clients may publish theirs too). Opened at daemon
@@ -69,7 +74,7 @@ pub const TRACE_CHANNEL: &str = "$trace";
 /// connection, channel, shard, consumer-lag watermark, plus the recent
 /// flight-recorder tail). Opened at daemon startup; push is suppressed
 /// while the channel has zero subscribers. One-shot pulls ride
-/// [`K_INSPECT`].
+/// [`K_CTL`] op [`CTL_TOPO`].
 pub const TOPO_CHANNEL: &str = "$topo";
 
 /// Capability bit (in `HELLO.b` / the HELLO ack body): the peer speaks
@@ -184,57 +189,50 @@ pub const K_PUBLISH_ACK: u8 = 0x23;
 /// see. `a` = format id, body = serialized layout. Sent once per
 /// (connection, format), always before that format's first [`K_EVENT`].
 pub const K_ANNOUNCE: u8 = 0x22;
-/// Client → daemon: request a one-shot stats snapshot. `a` = client
-/// token. The daemon answers with [`K_STATS_ACK`], preceded — once per
-/// connection — by a [`K_ANNOUNCE`] for the snapshot's format.
-pub const K_STATS: u8 = 0x40;
-/// Daemon → client: a stats snapshot. `a` = echoed token, `b` = the
-/// snapshot's daemon-global format id, body = the snapshot record's
-/// native (NDR) bytes — the same encoding the `$stats` channel carries.
-pub const K_STATS_ACK: u8 = 0x41;
-/// Client → daemon: set the daemon's trace sampling at run time. `a` =
-/// client token, `b` = the new head-sampling modulus (sample one publish
-/// in `b`; `0` disables tracing daemon-wide). Answered with
-/// [`K_TRACE_CTL_ACK`].
-pub const K_TRACE_CTL: u8 = 0x42;
-/// Daemon → client: sampling updated. `a` = echoed token, `b` = the
-/// modulus that was in effect before this change.
-pub const K_TRACE_CTL_ACK: u8 = 0x43;
-/// Client → daemon: request a one-shot topology snapshot (the
-/// introspection plane's pull side). `a` = client token. The daemon
-/// captures live state — per-connection queue depths, per-channel
-/// fan-out and durable-log footprint, per-shard load, consumer-lag
-/// watermarks, the flight-recorder tail — and answers with
-/// [`K_INSPECT_ACK`], preceded (once per connection) by a
-/// [`K_ANNOUNCE`] for the topology format.
-pub const K_INSPECT: u8 = 0x44;
-/// Daemon → client: a topology snapshot. `a` = echoed token, `b` = the
-/// snapshot's daemon-global format id, body = the record's native (NDR)
-/// bytes — the same encoding the `$topo` channel pushes.
-pub const K_INSPECT_ACK: u8 = 0x45;
-/// Client → daemon: reconfigure the wire tap at run time. `a` = client
-/// token, `b` = the new tap mode ([`TAP_OFF`], [`TAP_FULL`],
-/// [`TAP_SAMPLED`], [`TAP_CHANNEL`]); for the parameterized modes the
-/// body is `param:u32be` — the sampling modulus (capture one event
-/// frame in `param`) or the channel id to scope to. Control frames are
-/// always captured while any mode is on, so a capture stays
-/// self-describing. Requires a daemon configured with
-/// `ServConfig::tap` (else `ERROR(E_PROTOCOL)`); answered with
-/// [`K_TAP_CTL_ACK`].
-pub const K_TAP_CTL: u8 = 0x46;
-/// Daemon → client: tap reconfigured. `a` = echoed token, `b` = the tap
-/// mode that was in effect before this change.
-pub const K_TAP_CTL_ACK: u8 = 0x47;
+/// Client → daemon: a control request — the one frame kind behind
+/// every stats pull, topology pull, trace-sampling switch and tap
+/// switch. `a` = client token, `b` = op code, body = the op's arguments
+/// as `u32be` words:
+///
+/// | op                | args           | [`K_CTL_ACK`] `b`   | ack body             |
+/// |-------------------|----------------|---------------------|----------------------|
+/// | [`CTL_STATS`]     | —              | snapshot format id  | `$stats` record      |
+/// | [`CTL_TOPO`]      | —              | topology format id  | `$topo` record       |
+/// | [`CTL_TRACE_MOD`] | `modulus`      | previous modulus    | empty                |
+/// | [`CTL_TAP`]       | `mode [param]` | previous tap mode   | empty                |
+///
+/// Record bodies are native (NDR) bytes in the same encoding the
+/// reserved channel pushes, preceded — once per connection — by a
+/// [`K_ANNOUNCE`] of their format, so a reply decodes like any event.
+/// An unknown op or a malformed argument list draws `ERROR(E_PROTOCOL)`
+/// and the session stays open.
+pub const K_CTL: u8 = 0x40;
+/// Daemon → client: a control reply. `a` = echoed token, `b` = the op's
+/// result (see [`K_CTL`]), body = a PBIO record or empty.
+pub const K_CTL_ACK: u8 = 0x41;
 
-/// [`K_TAP_CTL`] mode: capture nothing (the hot path pays one relaxed
+/// [`K_CTL`] op: pull a snapshot of the daemon's metric registry.
+pub const CTL_STATS: u32 = 1;
+/// [`K_CTL`] op: pull a live topology snapshot (see [`TOPO_CHANNEL`]).
+pub const CTL_TOPO: u32 = 2;
+/// [`K_CTL`] op: set the head-sampling modulus new sessions adopt at
+/// handshake (sample one publish in `modulus`; `0` disables tracing).
+pub const CTL_TRACE_MOD: u32 = 3;
+/// [`K_CTL`] op: reconfigure the wire tap. `mode` is a `TAP_*` code;
+/// `param` (default 0) is the sampling modulus or the channel id to scope
+/// to. Control frames are always captured while any mode is on, so a
+/// capture stays self-describing. Requires `ServConfig::tap`.
+pub const CTL_TAP: u32 = 4;
+
+/// [`CTL_TAP`] mode: capture nothing (the hot path pays one relaxed
 /// load per frame and no more).
 pub const TAP_OFF: u32 = 0;
-/// [`K_TAP_CTL`] mode: capture every frame, both directions.
+/// [`CTL_TAP`] mode: capture every frame, both directions.
 pub const TAP_FULL: u32 = 1;
-/// [`K_TAP_CTL`] mode: capture every control frame but only one event
+/// [`CTL_TAP`] mode: capture every control frame but only one event
 /// frame ([`K_PUBLISH`]/[`K_EVENT`]) in `param`.
 pub const TAP_SAMPLED: u32 = 2;
-/// [`K_TAP_CTL`] mode: capture every control frame but only the event
+/// [`CTL_TAP`] mode: capture every control frame but only the event
 /// frames of channel `param`.
 pub const TAP_CHANNEL: u32 = 3;
 /// Daemon → client: liveness probe, sent when a connection has been
@@ -307,14 +305,8 @@ pub fn kind_name(kind: u8) -> &'static str {
         K_EVENT => "EVENT",
         K_ANNOUNCE => "ANNOUNCE",
         K_PUBLISH_ACK => "PUBLISH_ACK",
-        K_STATS => "STATS",
-        K_STATS_ACK => "STATS_ACK",
-        K_TRACE_CTL => "TRACE_CTL",
-        K_TRACE_CTL_ACK => "TRACE_CTL_ACK",
-        K_INSPECT => "INSPECT",
-        K_INSPECT_ACK => "INSPECT_ACK",
-        K_TAP_CTL => "TAP_CTL",
-        K_TAP_CTL_ACK => "TAP_CTL_ACK",
+        K_CTL => "CTL",
+        K_CTL_ACK => "CTL_ACK",
         K_PING => "PING",
         K_PONG => "PONG",
         K_RESUME => "RESUME",

@@ -92,7 +92,7 @@ pub enum TapMode {
 
 impl TapMode {
     /// The `(mode, param)` pair this mode crosses the wire as
-    /// ([`crate::protocol::K_TAP_CTL`]).
+    /// ([`crate::protocol::CTL_TAP`]).
     pub fn to_wire(self) -> (u32, u32) {
         match self {
             TapMode::Off => (TAP_OFF, 0),
@@ -122,7 +122,7 @@ pub struct TapConfig {
     /// root, flushed every drained batch like a flight dump).
     pub dir: PathBuf,
     /// Mode the tap starts in. Changeable at run time with
-    /// [`crate::protocol::K_TAP_CTL`]
+    /// [`crate::protocol::CTL_TAP`]
     /// ([`crate::ServClient::tap_ctl`]).
     pub mode: TapMode,
     /// Bound on frames buffered between background drains. When the

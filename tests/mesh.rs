@@ -10,7 +10,10 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use pbio_serv::{home_of, MeshConfig, ServClient, ServConfig, ServDaemon, TraceConfig};
+use pbio_serv::protocol::E_CHANNEL;
+use pbio_serv::{
+    home_of, MeshConfig, ServClient, ServConfig, ServDaemon, ServError, StoreConfig, TraceConfig,
+};
 use pbio_types::arch::ArchProfile;
 use pbio_types::schema::{AtomType, FieldDecl, Schema};
 
@@ -384,4 +387,42 @@ fn peer_killed_mid_relay_keeps_exact_accounting() {
     // The publisher's own session (to the live d0) is unaffected.
     publisher.publish(pchan, fmt, &ev_bytes(u64::MAX)).unwrap();
     publisher.disconnect().unwrap();
+}
+
+/// Durability lives at a channel's home. A mesh daemon that is not the
+/// home forwards every publish before any store append, so it refuses a
+/// durable open with a typed `E_CHANNEL` naming the home instead of
+/// creating a log nothing would ever reach; the home opens the same
+/// channel durable.
+#[test]
+fn durable_open_is_refused_away_from_the_home() {
+    let dir = std::env::temp_dir().join(format!("pbio-mesh-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let bind = |index: u32| {
+        let config = ServConfig {
+            durability: Some(StoreConfig::new(dir.join(index.to_string()))),
+            ..mesh_config(index, 2)
+        };
+        ServDaemon::bind_with("127.0.0.1:0", config).unwrap()
+    };
+    let (d0, d1) = (bind(0), bind(1));
+    let name = name_homed(1, 2);
+
+    let mut away = ServClient::connect(d0.local_addr(), &ArchProfile::X86_64).unwrap();
+    match away.open_channel_durable(&name) {
+        Err(ServError::Remote { code, message }) => {
+            assert_eq!(code, E_CHANNEL);
+            assert!(
+                message.contains("mesh index 1"),
+                "names the home: {message}"
+            );
+        }
+        other => panic!("expected an E_CHANNEL refusal, got {other:?}"),
+    }
+    let mut home = ServClient::connect(d1.local_addr(), &ArchProfile::X86_64).unwrap();
+    home.open_channel_durable(&name).unwrap();
+    drop((away, home));
+    d0.shutdown();
+    d1.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,10 +16,12 @@ use pbio_obs::export::{
 };
 use pbio_obs::Registry;
 use pbio_serv::protocol::{
-    E_PROTOCOL, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_HELLO, K_HELLO_ACK, PROTOCOL_VERSION,
+    CTL_TAP, CTL_TRACE_MOD, E_PROTOCOL, E_VERSION, K_CHANNEL, K_CHANNEL_ACK, K_CTL, K_CTL_ACK,
+    K_ERROR, K_HELLO, K_HELLO_ACK, PROTOCOL_VERSION, TAP_SAMPLED,
 };
 use pbio_serv::{
-    FlushPolicy, ServClient, ServConfig, ServDaemon, StoreConfig, TraceConfig, STATS_CHANNEL,
+    FlushPolicy, ServClient, ServConfig, ServDaemon, StoreConfig, TapConfig, TapMode, TraceConfig,
+    STATS_CHANNEL, TOPO_CHANNEL,
 };
 use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
@@ -496,4 +498,116 @@ fn consumer_lag_watermarks_converge_across_shards() {
     }
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Protocol v2 at the wire, spoken raw: a version-1 `HELLO` is refused
+/// with `E_VERSION`. On a v2 session an unknown control op, a `CTL_TAP`
+/// body that is not one or two whole words, and a zero sampling modulus
+/// each draw `E_PROTOCOL`, and the session stays fully usable.
+#[test]
+fn protocol_v2_refuses_v1_and_bad_control_requests() {
+    let dir = std::env::temp_dir().join(format!("pbio-obs-ctl-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = ServDaemon::bind_with(
+        "127.0.0.1:0",
+        ServConfig {
+            stats_interval: None,
+            tap: Some(TapConfig {
+                mode: TapMode::Off,
+                ..TapConfig::new(&dir)
+            }),
+            ..ServConfig::default()
+        },
+    )
+    .unwrap();
+    let hello = |version: u32| {
+        let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_frame_raw(&mut stream, K_HELLO, version, 0, b"x86-64").unwrap();
+        let reply = read_frame(&mut stream).unwrap();
+        (stream, reply)
+    };
+
+    let (_old, refused) = hello(1);
+    assert_eq!((refused.kind, refused.a), (K_ERROR, E_VERSION));
+
+    let (mut stream, ack) = hello(PROTOCOL_VERSION);
+    assert_eq!((ack.kind, ack.a), (K_HELLO_ACK, 2));
+    let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_be_bytes()).collect::<Vec<u8>>();
+    let bad_requests: [(u32, Vec<u8>); 4] = [
+        (0x7777, Vec::new()),
+        (CTL_TAP, vec![0, 0, 2]),
+        (CTL_TAP, words(&[TAP_SAMPLED, 4, 4])),
+        (CTL_TAP, words(&[TAP_SAMPLED, 0])),
+    ];
+    for (op, body) in &bad_requests {
+        write_frame_raw(&mut stream, K_CTL, 9, *op, body).unwrap();
+        let err = read_frame(&mut stream).unwrap();
+        assert_eq!(
+            (err.kind, err.a),
+            (K_ERROR, E_PROTOCOL),
+            "op {op} body {body:?}"
+        );
+    }
+
+    // The session survived every refusal: a channel open round-trips,
+    // and a well-formed control op answers with the previous modulus.
+    write_frame_raw(&mut stream, K_CHANNEL, 7, 0, b"survivor").unwrap();
+    let ack = read_frame(&mut stream).unwrap();
+    assert_eq!((ack.kind, ack.a), (K_CHANNEL_ACK, 7));
+    write_frame_raw(&mut stream, K_CTL, 11, CTL_TRACE_MOD, &words(&[5])).unwrap();
+    let ack = read_frame(&mut stream).unwrap();
+    assert_eq!((ack.kind, ack.a, ack.b), (K_CTL_ACK, 11, 64));
+    assert_eq!(daemon.trace_sampling(), 5);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Zero-audience suppression: with nobody subscribed to `$stats` or
+/// `$topo`, every push tick is skipped before any capture or encode —
+/// counted in `serv_stats_suppressed`, and nothing is published. Once a
+/// raw subscriber attaches to `$stats`, daemon snapshots arrive there
+/// while `$topo` stays silent.
+#[test]
+fn reserved_planes_publish_nothing_without_an_audience() {
+    let daemon = ServDaemon::bind_with(
+        "127.0.0.1:0",
+        ServConfig {
+            stats_interval: Some(Duration::from_millis(20)),
+            ..ServConfig::default()
+        },
+    )
+    .unwrap();
+    let published = |name: &str| {
+        let topo = daemon.topology();
+        let chan = topo.channels.iter().find(|c| c.name == name).unwrap();
+        chan.publishes
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.stats().stats_suppressed < 4 {
+        assert!(Instant::now() < deadline, "no suppressed push was counted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(published(STATS_CHANNEL), 0);
+    assert_eq!(published(TOPO_CHANNEL), 0);
+
+    let mut sub = ServClient::connect(daemon.local_addr(), &ArchProfile::X86_64).unwrap();
+    let chan = sub.open_channel(STATS_CHANNEL).unwrap();
+    sub.subscribe_raw(chan, None).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(Instant::now() < deadline, "no daemon snapshot arrived");
+        let Some(ev) = sub.poll_raw(Duration::from_millis(100)).unwrap() else {
+            continue;
+        };
+        let value = decode_native(ev.bytes, &ev.layout).unwrap();
+        if snapshot_from_value(&value).unwrap().0.role == ROLE_DAEMON {
+            break;
+        }
+    }
+    assert!(published(STATS_CHANNEL) > 0);
+    assert_eq!(published(TOPO_CHANNEL), 0, "$topo still has no audience");
+    daemon.shutdown();
 }
